@@ -184,8 +184,9 @@ class ClusterEnvironment(VectorEnvironment):
         When a timing registry is attached (traced runs), the cluster
         layer reports two sub-sections of ``env.step``:
         ``cluster.control`` (traffic model + balancer) and
-        ``cluster.step`` (the fused node simulation) — see
-        ``docs/observability.md``.
+        ``cluster.step`` (the fused node simulation), plus
+        ``cluster.install`` (placement install, a part of
+        ``cluster.step``) — see ``docs/observability.md``.
         """
         timings = self.timings
         t0 = perf_counter() if timings is not None else 0.0
@@ -201,6 +202,15 @@ class ClusterEnvironment(VectorEnvironment):
         if timings is not None:
             timings.get("cluster.step").add(perf_counter() - t0)
         return batch
+
+    def _install_assignments(self, assignments: Sequence[Dict[str, CoreAssignment]]) -> None:
+        timings = self.timings
+        if timings is None:
+            super()._install_assignments(assignments)
+            return
+        t0 = perf_counter()
+        super()._install_assignments(assignments)
+        timings.get("cluster.install").add(perf_counter() - t0)
 
     def _gather_arrivals(self) -> np.ndarray:
         # Arrival rates come from the balancer, not the per-node

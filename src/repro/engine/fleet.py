@@ -65,7 +65,7 @@ class FleetBDQAgent(BDQAgent):
       all environments and then applies the per-branch epsilon noise in
       env-major order — the RNG draw sequence for M stacked states is
       identical to M consecutive scalar :meth:`~BDQAgent.act` calls.
-    - **One tick, one train round.** :meth:`observe_batch` adds N
+    - **One tick, one train round.** :meth:`observe_rows` adds N
       transitions but advances ``step_count`` (and thus the epsilon/beta
       schedules and the train/target cadence) by ONE.
 
@@ -87,6 +87,10 @@ class FleetBDQAgent(BDQAgent):
             raise ConfigurationError(f"num_envs must be >= 1, got {num_envs}")
         if not config.use_prioritized_replay:
             raise ConfigurationError("FleetBDQAgent requires prioritized replay")
+        if len({len(agent) for agent in config.branch_sizes}) != 1:
+            raise ConfigurationError(
+                "FleetBDQAgent needs the same number of branches for every agent"
+            )
         super().__init__(config, rng, trace=trace, timings=timings)
         self.num_envs = num_envs
         stripe_capacity = max(config.buffer_capacity // num_envs, config.batch_size)
@@ -97,53 +101,51 @@ class FleetBDQAgent(BDQAgent):
     # ------------------------------------------------------------------ #
     # acting
     # ------------------------------------------------------------------ #
-    def act_batch(self, states: np.ndarray, greedy: bool = False) -> List[List[List[int]]]:
+    def act_batch(
+        self, states: np.ndarray, greedy: bool = False, as_array: bool = False
+    ):
         """Choose actions for M stacked states through one fused forward.
 
-        ``states`` is ``(M, state_dim)``; returns one per-agent,
-        per-branch action list per row. With the same RNG state, row
-        ``i`` equals what :meth:`~BDQAgent.act` would return for
-        ``states[i]`` after acting on rows ``0..i-1``.
+        ``states`` is ``(M, state_dim)``. Returns an ``(M, agents,
+        branches)`` int64 array when ``as_array`` is set, else the same
+        actions as one per-agent, per-branch nested list per row. With
+        the same RNG state, row ``i`` equals what :meth:`~BDQAgent.act`
+        would return for ``states[i]`` after acting on rows ``0..i-1``.
         """
         if self.timings is not None:
             with self.timings.measure("agent.act"):
-                return self._act_batch(states, greedy)
-        return self._act_batch(states, greedy)
+                actions = self._act_batch(states, greedy)
+        else:
+            actions = self._act_batch(states, greedy)
+        return actions if as_array else actions.tolist()
 
-    def _act_batch(self, states: np.ndarray, greedy: bool) -> List[List[List[int]]]:
+    def _act_batch(self, states: np.ndarray, greedy: bool) -> np.ndarray:
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         if states.shape[1] != self.config.state_dim:
             raise ShapeError(
                 f"states have dim {states.shape[1]}, expected {self.config.state_dim}"
             )
         best = self.online.greedy_actions_batch(states)         # (M, B)
-        rows: List[List[List[int]]] = []
-        for i in range(states.shape[0]):
-            actions: List[List[int]] = []
-            b = 0
-            for agent in self.online.branch_sizes:
-                actions.append([int(best[i, b + d]) for d in range(len(agent))])
-                b += len(agent)
-            rows.append(actions)
+        actions = best.reshape(states.shape[0], self.num_agents, -1)
         if greedy:
-            return rows
+            return actions
         epsilon = self.epsilon()
+        rand = self._rng.random
+        integers = self._rng.integers
+        sizes = [n for agent in self.online.branch_sizes for n in agent]
         # Env-major noise: per row, the same per-branch draw sequence as
         # the scalar _act, so batched and per-state acting are
-        # stream-compatible.
-        for actions in rows:
-            for k, agent in enumerate(self.online.branch_sizes):
-                for d, n in enumerate(agent):
-                    if self._rng.random() >= epsilon:
-                        continue
-                    if self._rng.random() < 0.5:
-                        actions[k][d] = int(self._rng.integers(0, n))
-                    else:
-                        step = int(self._rng.integers(1, 5)) * (
-                            1 if self._rng.random() < 0.5 else -1
-                        )
-                        actions[k][d] = int(np.clip(actions[k][d] + step, 0, n - 1))
-        return rows
+        # stream-compatible. ``best`` is a view of ``actions``.
+        for i in range(states.shape[0]):
+            for b, n in enumerate(sizes):
+                if rand() >= epsilon:
+                    continue
+                if rand() < 0.5:
+                    best[i, b] = int(integers(0, n))
+                else:
+                    step = int(integers(1, 5)) * (1 if rand() < 0.5 else -1)
+                    best[i, b] = min(max(int(best[i, b]) + step, 0), n - 1)
+        return actions
 
     # ------------------------------------------------------------------ #
     # learning
@@ -151,31 +153,57 @@ class FleetBDQAgent(BDQAgent):
     def observe_batch(
         self, transitions: Sequence[Tuple[int, Transition]]
     ) -> Optional[float]:
-        """Store one tick's transitions (env-tagged) and maybe train once.
+        """Store one tick's ``(env_index, transition)`` pairs and maybe train once.
 
-        ``transitions`` holds ``(env_index, transition)`` pairs — absent
-        environments (degraded telemetry, broken transition chain) are
-        simply skipped for this tick. One call advances ``step_count`` by
-        one and runs at most one training round, however many
-        environments contributed.
+        Stacks the transitions into rows and hands them to
+        :meth:`observe_rows`.
         """
-        for env_index, transition in transitions:
-            if not 0 <= env_index < self.num_envs:
-                raise ShapeError(f"env index {env_index} out of range [0, {self.num_envs})")
-            if len(transition.rewards) != self.num_agents:
+        columns = zip(*(
+            (t.state, self._flatten_actions(t.actions), t.rewards, t.next_state, float(t.done))
+            for _, t in transitions
+        ))
+        try:
+            stacked = [np.array(column, dtype=np.float64) for column in columns]
+        except ValueError as exc:
+            raise ShapeError(f"transitions disagree in shape: {exc}") from exc
+        return self.observe_rows(
+            np.array([e for e, _ in transitions], dtype=np.int64),
+            *(stacked or [np.zeros(0)] * 5),  # no rows: nothing is stored
+        )
+
+    def observe_rows(
+        self,
+        env_rows: np.ndarray,
+        states: np.ndarray,
+        actions: np.ndarray,
+        rewards: np.ndarray,
+        next_states: np.ndarray,
+        dones: Optional[np.ndarray] = None,
+    ) -> Optional[float]:
+        """Store one tick's transitions as rows and maybe train once.
+
+        Row ``r`` is a transition of environment ``env_rows[r]``;
+        ``actions`` holds each row's agent-major flattened branch actions.
+        Absent environments (degraded telemetry, broken transition chain)
+        are simply not listed. One call advances ``step_count`` by one and
+        runs at most one training round, however many environments
+        contributed.
+        """
+        count = len(env_rows)
+        if count:
+            rewards = np.asarray(rewards, dtype=np.float64).reshape(count, -1)
+            if rewards.shape[1] != self.num_agents:
                 raise ShapeError(
-                    f"expected {self.num_agents} rewards, got {len(transition.rewards)}"
+                    f"expected {self.num_agents} rewards, got {rewards.shape[1]}"
                 )
-            self.striped.add(
-                env_index,
+            self.striped.add_rows(
+                env_rows,
                 {
-                    "state": np.asarray(transition.state, dtype=np.float64),
-                    "actions": np.asarray(
-                        self._flatten_actions(transition.actions), dtype=np.float64
-                    ),
-                    "rewards": np.asarray(transition.rewards, dtype=np.float64),
-                    "next_state": np.asarray(transition.next_state, dtype=np.float64),
-                    "done": np.asarray(float(transition.done)),
+                    "state": states,
+                    "actions": np.asarray(actions, dtype=np.float64).reshape(count, -1),
+                    "rewards": rewards,
+                    "next_state": next_states,
+                    "done": np.zeros(count) if dones is None else dones,
                 },
             )
         self.step_count += 1
@@ -551,27 +579,17 @@ class FleetTwig:
                 self._has_alloc[e] = True
                 assignments[e] = self._map_row(e)
 
-        transitions: List[Tuple[int, Transition]] = []
-        for e in np.nonzero(~env_degraded & self._has_prev)[0].tolist():
-            transitions.append(
-                (
-                    e,
-                    Transition(
-                        state=self._prev_state_mat[e],
-                        actions=[
-                            [int(a) for a in branch]
-                            for branch in self._prev_action_mat[e]
-                        ],
-                        rewards=totals[e],
-                        next_state=states[e],
-                    ),
-                )
-            )
-        self.agent.observe_batch(transitions)
+        learning = np.nonzero(~env_degraded & self._has_prev)[0]
+        self.agent.observe_rows(
+            learning,
+            self._prev_state_mat[learning],
+            self._prev_action_mat[learning],
+            totals[learning],
+            states[learning],
+        )
 
         if healthy_idx.size:
-            action_rows = self.agent.act_batch(states[healthy_idx])
-            acts = np.asarray(action_rows, dtype=np.int64)  # (A, k, n_branches)
+            acts = self.agent.act_batch(states[healthy_idx], as_array=True)
             acts = self._repair_action_rows(healthy_idx, acts, arrival, results)
             cores = acts[:, :, 0] + 1
             freqs = acts[:, :, 1]

@@ -34,10 +34,25 @@ equivalence oracle: stepping the same seeds through
 ``ColocationEnvironment.step`` reproduces the vector trajectories (see
 ``tests/test_engine_vector.py``).
 
-Only the gather/scatter against the wrapped environments' Python
-objects (machine state in, backlogs/energy/results out) and the
-control-plane ``Machine.apply`` run per environment; every numeric
-formula on the hot path is evaluated once over the whole batch.
+Placements and machine state
+----------------------------
+While wrapped, an environment's machine state (core pins, per-core DVFS
+indices, migration counters) is owned by the vector engine's ``(E, ...)``
+arrays, not by its :class:`~repro.server.machine.Machine`. Each step
+resolves every service placement ``(name, cores, freq_index,
+llc_ways)`` of every environment's assignment to a row of a bounded
+placement table; a row is built, after the same checks
+``ColocationEnvironment.step`` runs, only the first time a placement is
+seen. Installing the changed environments is then one array pass, with
+migrations counted as ``(new ^ old).sum(axis=-1)``.
+The ``Machine`` objects are written from the arrays on demand by
+:meth:`VectorEnvironment.sync_machines` (checkpoints, migration counts)
+and re-read by :meth:`VectorEnvironment.load_env_states`.
+
+Only the per-environment assignment key, the backlog/RNG/energy
+gather/scatter and lazy result objects remain per-environment Python;
+every numeric formula on the hot path is evaluated once over the whole
+batch.
 """
 
 from __future__ import annotations
@@ -65,6 +80,11 @@ from repro.sim.environment import (
 #: :meth:`VectorEnvironment.from_services`; large and prime so the
 #: derived per-generator seeds of different environments never collide.
 ENV_SEED_STRIDE = 100003
+
+#: Distinct service placements the placement table holds before it is
+#: cleared and refilled (never fewer than one step can need, so one
+#: step's placements always fit).
+PLACEMENT_TABLE_ROWS = 8192
 
 #: Raw counter names in the exact order ``TelemetrySynthesizer.synthesize``
 #: builds (and therefore noises) them.
@@ -242,28 +262,38 @@ class VectorEnvironment:
         #: Optional :class:`~repro.obs.timing.TimingRegistry` wired in by
         #: the rollout loop; subclasses report timing sub-sections here.
         self.timings = None
-        # Installed-assignment cache: per-env content key of the last
-        # applied assignment plus the machine-state arrays it produced.
-        # Machine state only changes through Machine.apply (faults touch
-        # observations/backlogs, never cores), so an unchanged key means
-        # validate/apply/gather can all be skipped for that env.
         E, S, C = self.num_envs, len(self.names), len(self._core_ids)
-        self._applied_keys: List[Optional[tuple]] = [None] * E
+        self._placements = _PlacementTable(max(PLACEMENT_TABLE_ROWS, E * S), C)
+        # Installed machine state, one row per env: the placement-table
+        # rows last installed, one per service (-1: re-install on the
+        # next step), and the socket state they left. The arrays own
+        # this state while the env is wrapped; ``_machines_stale`` marks
+        # envs whose Machine object lags behind them (see sync_machines).
+        self._applied_rows = np.full((E, S), -1, dtype=np.int64)
         self._m_membership = np.zeros((E, S, C), dtype=bool)
         self._m_online = np.zeros((E, C), dtype=bool)
         self._m_freq_index = np.zeros((E, C), dtype=np.int64)
         self._m_n_cores = np.zeros((E, S))
         self._m_freq = np.zeros((E, S))
         self._m_llc_quota = np.zeros((E, S))
+        self._m_migrations = np.zeros((E, S), dtype=np.int64)
+        # Whether a service has a key in its Machine's migration_counts,
+        # and the order new keys enter it (Machine.apply inserts them in
+        # assignment order the first time a service moves).
+        self._m_counted = np.zeros((E, S), dtype=bool)
+        self._new_count_keys: Dict[int, List[str]] = {}
+        self._machines_stale = np.zeros(E, dtype=bool)
+        self._adopt_machines()
 
     def _assignment_key(self, assignment: Mapping[str, CoreAssignment]) -> Optional[tuple]:
-        """Content key of an assignment, or ``None`` if it needs the full
-        validate path (missing services, unexpected keys)."""
+        """Content key of an assignment, one ``(name, cores, freq_index,
+        llc_ways)`` entry per service in batch order, or ``None`` if its
+        services are not exactly this batch's (missing, unexpected)."""
         if len(assignment) != len(self.names):
             return None
         try:
             return tuple(
-                (name, a.cores, a.freq_index, a.llc_ways)
+                (name, tuple(a.cores), a.freq_index, a.llc_ways)
                 for name, a in ((n, assignment[n]) for n in self.names)
             )
         except KeyError:
@@ -272,34 +302,160 @@ class VectorEnvironment:
     def _install_assignments(
         self, assignments: Sequence[Mapping[str, CoreAssignment]]
     ) -> None:
-        """Validate/apply changed assignments and refresh their cached
-        machine-state rows; unchanged envs are skipped entirely."""
-        mb_per_way = self.spec.socket.mb_per_way
-        for e, (env, assignment) in enumerate(zip(self.envs, assignments)):
+        """Resolve every env's assignment to placement rows, then install
+        the changed envs in one array pass; unchanged envs are skipped.
+
+        Mirrors ``Machine.apply``: every core drops to DVFS index 0, then
+        a core shared by several services runs at the highest index
+        requested for it (Section IV arbitration); a service's frequency
+        is the highest over its cores.
+        """
+        rows = self._resolve_placements(assignments)
+        changed = np.nonzero((rows != self._applied_rows).any(axis=1))[0]
+        if not changed.size:
+            return
+        table = self._placements
+        placed = rows[changed]
+        membership = table.membership[placed]                      # (n, S, C)
+        requested = table.freq_index[placed]                       # (n, S)
+        freq_index = np.where(membership, requested[:, :, None], 0).max(axis=1)
+        core_ghz = self._ladder[freq_index]                        # (n, C)
+        freq = np.where(membership, core_ghz[:, None, :], -np.inf).max(axis=2)
+        moved = (membership ^ self._m_membership[changed]).sum(axis=-1)
+        first = (moved > 0) & ~self._m_counted[changed]
+        if first.any():
+            self._note_new_counters(changed, first, assignments)
+        self._m_membership[changed] = membership
+        self._m_freq_index[changed] = freq_index
+        self._m_n_cores[changed] = table.n_cores[placed]
+        self._m_freq[changed] = freq
+        self._m_llc_quota[changed] = table.llc_quota[placed]
+        self._m_migrations[changed] += moved
+        self._applied_rows[changed] = placed
+        self._machines_stale[changed] = True
+
+    def _resolve_placements(
+        self, assignments: Sequence[Mapping[str, CoreAssignment]]
+    ) -> np.ndarray:
+        """``(E, S)`` placement-table rows of every env's assignment.
+
+        Checks run in env order and raise before anything is installed.
+        A full table is cleared and the step's placements resolved again.
+        """
+        table = self._placements
+        lookup = table.rows.get
+        rows: List[int] = []
+        for e, assignment in enumerate(assignments):
             key = self._assignment_key(assignment)
-            if key is not None and key == self._applied_keys[e]:
-                continue
-            if set(assignment) != set(env.services):
+            if key is None:
                 raise AllocationError(
                     f"assignments for {sorted(assignment)} but services are "
-                    f"{sorted(env.services)}"
+                    f"{sorted(self.envs[e].services)}"
                 )
+            for entry in key:
+                row = lookup(entry)
+                if row is None:
+                    if len(table.rows) == table.capacity:
+                        table.clear()
+                        self._applied_rows[:] = -1
+                        return self._resolve_placements(assignments)
+                    row = self._add_placement(self.envs[e], entry, assignment)
+                rows.append(row)
+        return np.array(rows, dtype=np.int64).reshape(self.num_envs, len(self.names))
+
+    def _add_placement(
+        self,
+        env: ColocationEnvironment,
+        entry: tuple,
+        assignment: Mapping[str, CoreAssignment],
+    ) -> int:
+        """Check a first-seen service placement with the checks of
+        ``ColocationEnvironment.step`` and give it a table row.
+
+        If it fails, the checks are re-run over the whole assignment so
+        the error raised is the one the scalar step raises.
+        """
+        name, cores, freq_index, llc_ways = entry
+        single = {name: assignment[name]}
+        try:
+            env._check_socket(single)
+            env.machine._validate(single)
+        except AllocationError:
             env._check_socket(assignment)
-            env.machine.apply(assignment)
-            self._applied_keys[e] = key
-            membership = self._m_membership[e]
-            membership[:] = False
+            env.machine._validate(assignment)
+            raise
+        membership = np.zeros(len(self._core_ids), dtype=bool)
+        membership[[self._column[cid] for cid in cores]] = True
+        return self._placements.add(
+            entry, membership, freq_index, len(cores),
+            llc_ways * self.spec.socket.mb_per_way,
+        )
+
+    def _note_new_counters(
+        self,
+        changed: np.ndarray,
+        first: np.ndarray,
+        assignments: Sequence[Mapping[str, CoreAssignment]],
+    ) -> None:
+        """Record services moving for the first time, in assignment order."""
+        for r in np.nonzero(first.any(axis=1))[0].tolist():
+            e = int(changed[r])
+            new = {self.names[i] for i in np.nonzero(first[r])[0].tolist()}
+            self._new_count_keys.setdefault(e, []).extend(
+                name for name in assignments[e] if name in new
+            )
+            self._m_counted[e] |= first[r]
+
+    def sync_machines(self) -> None:
+        """Write the installed state into the wrapped envs' ``Machine`` objects.
+
+        Leaves each Machine exactly as the same sequence of
+        ``Machine.apply`` calls would have: cores outside the server
+        socket unpinned at the lowest DVFS state, socket cores pinned
+        and arbitrated, migration counters up to date.
+        """
+        names = self.names
+        for e in np.nonzero(self._machines_stale)[0].tolist():
+            machine = self.envs[e].machine
+            pins = self._m_membership[e].T.tolist()
+            freq_index = self._m_freq_index[e].tolist()
+            for core in machine.cores:
+                core.services = set()
+                core.freq_index = 0
             for j, cid in enumerate(self._core_ids):
-                core = env.machine.cores[cid]
-                self._m_online[e, j] = core.online
-                self._m_freq_index[e, j] = core.freq_index
-            for i, name in enumerate(self.names):
-                cores = env.machine.cores_of(name)
-                self._m_n_cores[e, i] = len(cores)
-                for core in cores:
-                    membership[i, self._column[core.core_id]] = True
-                self._m_freq[e, i] = env.machine.frequency_of(name)
-                self._m_llc_quota[e, i] = assignment[name].llc_ways * mb_per_way
+                core = machine.cores[cid]
+                core.services = {name for name, pinned in zip(names, pins[j]) if pinned}
+                core.freq_index = freq_index[j]
+            counts = machine.migration_counts
+            for name in self._new_count_keys.pop(e, ()):
+                counts[name] = 0
+            totals = self._m_migrations[e].tolist()
+            for i, name in enumerate(names):
+                if self._m_counted[e, i]:
+                    counts[name] = totals[i]
+        self._machines_stale[:] = False
+
+    def _adopt_machines(self) -> None:
+        """Re-derive the installed state from the wrapped ``Machine`` objects.
+
+        The one place installed state is invalidated (construction and
+        :meth:`load_env_states`): the next step re-installs every env.
+        Only server-socket pins are read: every placement a step installs
+        passed the socket check.
+        """
+        self._applied_rows[:] = -1
+        self._machines_stale[:] = False
+        self._new_count_keys = {}
+        for e, env in enumerate(self.envs):
+            machine = env.machine
+            cores = [machine.cores[cid] for cid in self._core_ids]
+            self._m_online[e] = [core.online for core in cores]
+            self._m_membership[e] = [
+                [name in core.services for core in cores] for name in self.names
+            ]
+            counts = machine.migration_counts
+            self._m_migrations[e] = [counts.get(name, 0) for name in self.names]
+            self._m_counted[e] = [name in counts for name in self.names]
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -393,6 +549,7 @@ class VectorEnvironment:
 
     def migration_counts(self) -> List[Dict[str, int]]:
         """Per-env service migration counters (for final run traces)."""
+        self.sync_machines()
         return [dict(env.machine.migration_counts) for env in self.envs]
 
     def close(self) -> None:
@@ -413,8 +570,8 @@ class VectorEnvironment:
         E, S, C = self.num_envs, len(self.names), len(self._core_ids)
         interval = self.config.interval_s
 
-        # Control plane: validate and install placements per environment
-        # (cached — unchanged assignments skip apply + gather entirely).
+        # Control plane: resolve placements (checked once per distinct
+        # placement) and install the changed environments' rows.
         self._install_assignments(assignments)
         membership = self._m_membership
         online = self._m_online
@@ -776,8 +933,13 @@ class VectorEnvironment:
         """Per-env state trees, keyed by zero-padded env index."""
         return {
             "num_envs": self.num_envs,
-            "envs": {f"{e:04d}": env.state_dict() for e, env in enumerate(self.envs)},
+            "envs": {f"{e:04d}": tree for e, tree in enumerate(self.env_states())},
         }
+
+    def env_states(self) -> List[Dict[str, Any]]:
+        """Every wrapped env's ``state_dict``, machine state synced first."""
+        self.sync_machines()
+        return [env.state_dict() for env in self.envs]
 
     def load_state_dict(self, tree: Dict[str, Any]) -> None:
         """Restore every sibling environment from a ``state_dict`` tree."""
@@ -796,11 +958,52 @@ class VectorEnvironment:
                 f"vector checkpoint env keys {sorted(env_trees)} do not match "
                 f"batch size {self.num_envs}"
             )
-        for e, env in enumerate(self.envs):
-            env.load_state_dict(dict(env_trees[f"{e:04d}"]))
-        # Machine state was just replaced wholesale; drop the installed-
-        # assignment cache so the next step re-gathers everything.
-        self._applied_keys = [None] * self.num_envs
+        self.load_env_states([env_trees[f"{e:04d}"] for e in range(self.num_envs)])
+
+    def load_env_states(self, trees: Sequence[Mapping[str, Any]]) -> None:
+        """Restore each wrapped env from its ``state_dict`` tree.
+
+        Machine state is replaced wholesale, so the installed state is
+        re-derived from the loaded Machines (even if a load fails part
+        way) and every env re-installs on the next step.
+        """
+        self.sync_machines()
+        try:
+            for env, tree in zip(self.envs, trees):
+                env.load_state_dict(dict(tree))
+        finally:
+            self._adopt_machines()
+
+
+class _PlacementTable:
+    """Checked service placements, keyed by content, at most ``capacity``.
+
+    Row ``r`` holds one service's ``(name, cores, freq_index, llc_ways)``
+    placement resolved against the server socket: its core membership
+    ``(C,)``, requested DVFS index, core count and LLC quota (MB). Only
+    placements that passed every check get a row.
+    """
+
+    def __init__(self, capacity: int, num_cores: int):
+        self.capacity = capacity
+        self.rows: Dict[tuple, int] = {}
+        self.membership = np.zeros((capacity, num_cores), dtype=bool)
+        self.freq_index = np.zeros(capacity, dtype=np.int64)
+        self.n_cores = np.zeros(capacity)
+        self.llc_quota = np.zeros(capacity)
+
+    def add(self, key: tuple, membership: np.ndarray, freq_index: int,
+            n_cores: int, llc_quota: float) -> int:
+        row = len(self.rows)
+        self.membership[row] = membership
+        self.freq_index[row] = freq_index
+        self.n_cores[row] = n_cores
+        self.llc_quota[row] = llc_quota
+        self.rows[key] = row
+        return row
+
+    def clear(self) -> None:
+        self.rows.clear()
 
 
 def make_sibling_environment(

@@ -109,6 +109,72 @@ class StripedPrioritizedReplayBuffer:
         self._tree.update(slot, self._max_priority ** self.alpha)
         return slot
 
+    def add_rows(
+        self, env_rows: np.ndarray, fields: Mapping[str, np.ndarray]
+    ) -> np.ndarray:
+        """Store row ``r`` of every field in stripe ``env_rows[r]``; returns the slots.
+
+        Bit-identical to calling :meth:`add` once per row, in row order,
+        but with one fancy-indexed write per field, one cursor/size
+        update and one :meth:`SumTree.update_sequential`. A stripe named
+        ``k`` times takes ``k`` consecutive ring slots.
+        """
+        env_rows = np.asarray(env_rows, dtype=np.int64).reshape(-1)
+        count = env_rows.size
+        if count and not (0 <= env_rows.min() and env_rows.max() < self.num_envs):
+            raise ShapeError(
+                f"env indices {env_rows[(env_rows < 0) | (env_rows >= self.num_envs)]} "
+                f"out of range [0, {self.num_envs})"
+            )
+        arrays = {key: np.asarray(value, dtype=np.float64) for key, value in fields.items()}
+        for key, array in arrays.items():
+            if array.shape[:1] != (count,):
+                raise ShapeError(
+                    f"field {key!r} has {array.shape[0] if array.ndim else 0} rows, "
+                    f"expected {count}"
+                )
+        if count == 0:
+            return np.zeros(0, dtype=np.int64)
+        if self._storage is None:
+            self._allocate({key: array[0] for key, array in arrays.items()})
+        assert self._storage is not None
+        if set(arrays) != set(self._storage):
+            raise ShapeError(
+                f"transition fields {sorted(arrays)} != buffer fields "
+                f"{sorted(self._storage)}"
+            )
+        for key, array in arrays.items():
+            if array.shape[1:] != self._storage[key].shape[1:]:
+                raise ShapeError(
+                    f"field {key!r} shape {array.shape[1:]} != expected "
+                    f"{self._storage[key].shape[1:]}"
+                )
+        # Rank of each row among the earlier rows naming the same stripe.
+        order = np.argsort(env_rows, kind="stable")
+        ordered = env_rows[order]
+        rank = np.empty(count, dtype=np.int64)
+        rank[order] = np.arange(count) - np.searchsorted(ordered, ordered)
+        slots = env_rows * self.stripe_capacity + (
+            self._cursors[env_rows] + rank
+        ) % self.stripe_capacity
+        if np.unique(slots).size != count:
+            # A stripe laps its own ring within this call, so a later row
+            # must see the earlier write to its slot: store row by row.
+            return np.array(
+                [
+                    self.add(int(e), {key: array[r] for key, array in arrays.items()})
+                    for r, e in enumerate(env_rows.tolist())
+                ],
+                dtype=np.int64,
+            )
+        for key, array in arrays.items():
+            self._storage[key][slots] = array
+        added = np.bincount(env_rows, minlength=self.num_envs)
+        self._cursors = (self._cursors + added) % self.stripe_capacity
+        self._sizes = np.minimum(self._sizes + added, self.stripe_capacity)
+        self._tree.update_sequential(slots, np.full(count, self._max_priority ** self.alpha))
+        return slots
+
     def sample(self, batch_size: int, beta: float = 1.0) -> Dict[str, np.ndarray]:
         """Sample proportionally across ALL stripes in one tree descent.
 

@@ -157,6 +157,35 @@ class SumTree:
             self._tree[parents] = self._tree[children] + self._tree[children + 1]
             parents = parents >> 1
 
+    def update_sequential(self, leaves: np.ndarray, priorities: np.ndarray) -> None:
+        """Set many *distinct* leaves exactly as a loop of :meth:`update` would.
+
+        Unlike :meth:`update_batch`, ancestor sums are delta-adjusted, not
+        recomputed, so the node array matches the scalar loop bit for
+        bit: ``np.add.at`` applies each ancestor's deltas unbuffered and
+        in leaf order, which is the order the loop adds them in.
+        """
+        leaves = self._check_leaves(leaves)
+        priorities = np.asarray(priorities, dtype=np.float64).reshape(-1)
+        if priorities.shape != leaves.shape:
+            raise ConfigurationError(
+                f"got {leaves.size} leaves but {priorities.size} priorities"
+            )
+        if priorities.size == 0:
+            return
+        if not np.all(np.isfinite(priorities)) or priorities.min() < 0:
+            raise ConfigurationError(
+                "priorities must be finite and >= 0, got "
+                f"{priorities[~(np.isfinite(priorities) & (priorities >= 0))]}"
+            )
+        if np.unique(leaves).size != leaves.size:
+            raise ConfigurationError("update_sequential needs distinct leaves")
+        nodes = self._leaf_count + leaves
+        deltas = priorities - self._tree[nodes]
+        # Row l holds every leaf's ancestor l levels up (row 0: the leaves).
+        path = nodes[None, :] >> np.arange(self._depth + 1)[:, None]
+        np.add.at(self._tree, path.ravel(), np.broadcast_to(deltas, path.shape).ravel())
+
     def find_batch(self, masses: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`find`: one leaf per entry of ``masses``.
 
