@@ -24,11 +24,13 @@ test-robust:
 trace-e2e:
 	$(PYTEST) -q -m trace_e2e
 
-## Fleet layer: vector-engine scalar equivalence, cluster traffic /
+## Fleet layer: vector-engine scalar equivalence, Twig (the N=1 fleet
+## loop) against its recorded golden trajectories, cluster traffic /
 ## balancer invariants, cluster environment + experiment, and the
 ## docs/fleet.md schema diff.
 test-fleet:
 	$(PYTEST) -q tests/test_engine_vector.py tests/test_engine_fleet_array.py \
+		tests/test_twig_golden.py \
 		tests/test_engine_sharded.py tests/test_cluster_traffic.py \
 		tests/test_cluster_balancer.py tests/test_cluster_environment.py \
 		tests/test_fleet_doc.py

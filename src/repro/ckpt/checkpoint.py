@@ -42,7 +42,9 @@ import numpy as np
 from repro.errors import CheckpointError
 
 CKPT_FORMAT = "repro.ckpt"
-CKPT_VERSION = 1
+#: 2: the ``twig`` kind holds the fleet control loop's array tree, and
+#: ``twig_fleet`` no longer stores ``has_alloc``/``has_est``.
+CKPT_VERSION = 2
 
 #: Reserved npz member holding the JSON envelope (format/version/kind/scalars).
 META_KEY = "__meta__"

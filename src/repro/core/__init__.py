@@ -11,7 +11,8 @@
   DVFS programming, and resource arbitration for conflicting requests.
 - :mod:`repro.core.twig` — the runtime (Figure 3): system monitor +
   learning agent + mapper, in Twig-S (single service) and Twig-C
-  (colocated) variants.
+  (colocated) variants; the single-node front end of the one control
+  loop, :class:`repro.engine.fleet.FleetTwig`.
 """
 
 from repro.core.actions import ActionSpace, Allocation
@@ -19,7 +20,6 @@ from repro.core.config import TwigConfig
 from repro.core.mapper import Mapper
 from repro.core.power_model import ServicePowerModel, fit_power_model
 from repro.core.reward import RewardParams, compute_reward
-from repro.core.twig import Twig
 
 __all__ = [
     "ActionSpace",
@@ -32,3 +32,13 @@ __all__ = [
     "compute_reward",
     "fit_power_model",
 ]
+
+
+def __getattr__(name: str):
+    # Twig is the single-node front end of repro.engine.fleet.FleetTwig,
+    # which imports from this package, so it loads on first use.
+    if name == "Twig":
+        from repro.core.twig import Twig
+
+        return Twig
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

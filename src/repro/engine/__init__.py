@@ -25,7 +25,6 @@ the same :func:`run_fleet` loop — see ``docs/fleet.md``.
 """
 
 from repro.engine.fleet import FleetBDQAgent, FleetTwig
-from repro.engine.rollout import run_fleet
 from repro.engine.vector_env import (
     ENV_SEED_STRIDE,
     VectorEnvironment,
@@ -40,3 +39,13 @@ __all__ = [
     "make_sibling_environment",
     "run_fleet",
 ]
+
+
+def __getattr__(name: str):
+    # The rollout loop imports repro.experiments, whose experiments build
+    # repro.core.Twig on top of this package, so it loads on first use.
+    if name == "run_fleet":
+        from repro.engine.rollout import run_fleet
+
+        return run_fleet
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,8 +1,10 @@
-"""Batched control for N lock-step environments: fused act + fused train.
+"""The Twig control loop over N lock-step environments: fused act + fused train.
 
-The scalar path runs one :class:`~repro.core.twig.Twig` per experiment and
-pays one trunk/bank forward per environment per interval plus one train
-step per environment per interval. The fleet path amortises both:
+This is the only implementation of the Figure 3 loop (monitor, Equation-1
+and -2 rewards, BDQ observe/act, mapper); :class:`~repro.core.twig.Twig`
+is its N = 1 front end. Running N environments through one loop
+amortises what N separate loops would each pay per interval (one
+trunk/bank forward and one train step):
 
 - :class:`FleetBDQAgent` selects actions for every environment with ONE
   fused :meth:`~repro.rl.bdq.BDQNetwork.greedy_actions_batch` GEMM and
@@ -13,9 +15,11 @@ step per environment per interval. The fleet path amortises both:
   that shared agent and exposes the lock-step ``update_batch`` interface
   the rollout loop drives.
 
-One tick of the fleet = one agent ``step_count`` increment, regardless of
-N: the epsilon/beta schedules anneal per control interval exactly as they
-do for a scalar run, while the replay buffer fills N times faster.
+A tick that stores at least one transition is one agent ``step_count``
+increment, regardless of N: the epsilon/beta schedules anneal per control
+interval, while the replay buffer fills N times faster. A tick that stores
+none (the first tick, or every environment degraded or just recovered)
+does not advance the agent at all.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from repro.core.actions import ActionSpace, Allocation
 from repro.core.config import TwigConfig
 from repro.core.mapper import Mapper
 from repro.core.power_model import ServicePowerModel
-from repro.core.reward import RewardBreakdown, reward_components
+from repro.core.reward import RewardBreakdown
 from repro.errors import CheckpointError, ConfigurationError, ShapeError
 from repro.obs.events import make_event
 from repro.obs.sink import NULL_SINK, TraceSink
@@ -67,7 +71,10 @@ class FleetBDQAgent(BDQAgent):
       identical to M consecutive scalar :meth:`~BDQAgent.act` calls.
     - **One tick, one train round.** :meth:`observe_rows` adds N
       transitions but advances ``step_count`` (and thus the epsilon/beta
-      schedules and the train/target cadence) by ONE.
+      schedules and the train/target cadence) by ONE; a call with no
+      transitions leaves the agent untouched.
+    - **Uniform replay** (``use_prioritized_replay=False``) samples the
+      same stripes uniformly, with unit importance weights.
 
     The base class's ``self.buffer`` is left in place but unused (the
     replay hooks below never touch it); it keeps the inherited
@@ -85,8 +92,6 @@ class FleetBDQAgent(BDQAgent):
     ):
         if num_envs < 1:
             raise ConfigurationError(f"num_envs must be >= 1, got {num_envs}")
-        if not config.use_prioritized_replay:
-            raise ConfigurationError("FleetBDQAgent requires prioritized replay")
         if len({len(agent) for agent in config.branch_sizes}) != 1:
             raise ConfigurationError(
                 "FleetBDQAgent needs the same number of branches for every agent"
@@ -185,27 +190,31 @@ class FleetBDQAgent(BDQAgent):
         Row ``r`` is a transition of environment ``env_rows[r]``;
         ``actions`` holds each row's agent-major flattened branch actions.
         Absent environments (degraded telemetry, broken transition chain)
-        are simply not listed. One call advances ``step_count`` by one and
-        runs at most one training round, however many environments
-        contributed.
+        are simply not listed. One call with at least one row advances
+        ``step_count`` by one and runs at most one training round, however
+        many environments contributed. A call with no rows is not a tick:
+        like a single-environment loop that has no transition to observe,
+        it leaves the schedules and the train/target cadence where they
+        are.
         """
         count = len(env_rows)
-        if count:
-            rewards = np.asarray(rewards, dtype=np.float64).reshape(count, -1)
-            if rewards.shape[1] != self.num_agents:
-                raise ShapeError(
-                    f"expected {self.num_agents} rewards, got {rewards.shape[1]}"
-                )
-            self.striped.add_rows(
-                env_rows,
-                {
-                    "state": states,
-                    "actions": np.asarray(actions, dtype=np.float64).reshape(count, -1),
-                    "rewards": rewards,
-                    "next_state": next_states,
-                    "done": np.zeros(count) if dones is None else dones,
-                },
+        if not count:
+            return None
+        rewards = np.asarray(rewards, dtype=np.float64).reshape(count, -1)
+        if rewards.shape[1] != self.num_agents:
+            raise ShapeError(
+                f"expected {self.num_agents} rewards, got {rewards.shape[1]}"
             )
+        self.striped.add_rows(
+            env_rows,
+            {
+                "state": states,
+                "actions": np.asarray(actions, dtype=np.float64).reshape(count, -1),
+                "rewards": rewards,
+                "next_state": next_states,
+                "done": np.zeros(count) if dones is None else dones,
+            },
+        )
         self.step_count += 1
         loss = None
         if (
@@ -226,12 +235,17 @@ class FleetBDQAgent(BDQAgent):
 
     def _replay_sample(self):
         with self._measure("agent.train.replay"):
+            if not self.config.use_prioritized_replay:
+                batch = self.striped.sample_uniform(self.config.batch_size)
+                return batch, np.ones(len(batch["indices"])), 1.0
             beta = self.beta_schedule(self.step_count)
             batch = self.striped.sample(self.config.batch_size, beta=beta)
             weights = batch["weights"]
         return batch, weights, beta
 
     def _replay_update(self, batch: Dict[str, Any], td_error_accum: np.ndarray) -> None:
+        if not self.config.use_prioritized_replay:
+            return
         with self._measure("agent.train.replay"):
             priorities = td_error_accum / self.online.total_branches
             self.striped.update_priorities(batch["indices"], priorities)
@@ -271,55 +285,26 @@ class FleetBDQAgent(BDQAgent):
         self.striped = scratch
 
 
-class _RowDicts:
-    """Lazy per-environment dict views over the fleet's state arrays.
-
-    ``manager._last_estimated_power[e]`` and friends used to be real
-    lists of dicts; with the array control plane they are rebuilt on
-    demand so traces, checkpoint conversion, and tests keep their
-    dict-shaped API without the manager paying O(num_envs) per tick.
-    """
-
-    def __init__(self, build, length: int):
-        self._build = build
-        self._length = length
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._build(e) for e in range(*index.indices(self._length))]
-        e = int(index)
-        if e < 0:
-            e += self._length
-        if not 0 <= e < self._length:
-            raise IndexError(index)
-        return self._build(e)
-
-    def __iter__(self):
-        return (self._build(e) for e in range(self._length))
-
-
 class FleetTwig:
     """N lock-step Twig control loops sharing one :class:`FleetBDQAgent`.
 
-    Mirrors :class:`repro.core.twig.Twig` per environment — monitor
-    smoothing, degraded-telemetry holds, Equation-1 rewards, and
-    Equation-2 power estimates are computed exactly as the scalar
-    manager computes them — but holds the per-environment control state
-    as ``(num_envs, num_services)`` arrays instead of per-env Python
-    objects: one :class:`~repro.pmc.monitor.MonitorBank` replaces N
-    :class:`SystemMonitor` objects, allocation/power/reward dicts become
-    integer and float matrices, and action decode/encode is index
-    arithmetic. ``update_batch`` therefore does O(1) array passes per
-    tick; the only remaining per-env Python work is trace emission and
-    mapper placement (memoised by allocation content).
+    Per environment this is the paper's loop — monitor smoothing,
+    degraded-telemetry holds, Equation-1 rewards, Equation-2 power
+    estimates, BDQ observe/act, mapping — with the per-environment
+    control state held as ``(num_envs, num_services)`` arrays: one
+    :class:`~repro.pmc.monitor.MonitorBank` row per (environment,
+    service), integer allocation matrices, float power/reward matrices,
+    and action decode/encode as index arithmetic. ``update_batch``
+    therefore does O(1) array passes per tick; the only remaining
+    per-env Python work is trace emission and mapper placement
+    (memoised by allocation content).
 
     Trajectories, RNG streams, and agent state are bit-identical to the
     frozen dict-state reference
-    (:class:`repro.engine.fleet_reference.DictFleetTwig`); the
-    equivalence is pinned by ``tests/test_engine_fleet_array.py``.
+    (:class:`repro.engine.fleet_reference.DictFleetTwig`, pinned by
+    ``tests/test_engine_fleet_array.py``) and, at N = 1 (that is,
+    :class:`~repro.core.twig.Twig`), to the recorded single-node golden
+    trajectories (``tests/test_twig_golden.py``).
 
     Subclasses written against the original per-env hooks
     (:meth:`_shape_rewards` / :meth:`_constrain_allocations`) still
@@ -351,8 +336,9 @@ class FleetTwig:
         self.service_order: List[str] = [p.name for p in profiles]
         self.name = "twig-fleet"
         #: Envelope field used to tag emitted events with the environment
-        #: index ("env" for plain fleet runs, "node" for cluster runs).
-        self.index_tag = "env"
+        #: index ("env" for plain fleet runs, "node" for cluster runs,
+        #: None for a single node's untagged events).
+        self.index_tag: Optional[str] = "env"
 
         self.qos_targets = {
             name: (qos_targets or {}).get(name, self.profiles[name].qos_target_ms)
@@ -416,13 +402,21 @@ class FleetTwig:
         self._alloc_cores = np.full((num_envs, k), self.action_space.max_cores, dtype=np.int64)
         self._alloc_freq = np.full((num_envs, k), top, dtype=np.int64)
         self._alloc_ways = np.zeros((num_envs, k), dtype=np.int64)
-        self._has_alloc = np.zeros(num_envs, dtype=bool)
         self._est_power = np.zeros((num_envs, k))
-        self._has_est = np.zeros(num_envs, dtype=bool)
         self._reward_totals = np.zeros((num_envs, k))
         self._has_reward = np.zeros(num_envs, dtype=bool)
 
-        # Precomputed per-service Equation-2 rows (broadcast over envs).
+        self._dvfs_values = np.array(
+            [self.spec.dvfs[i] for i in range(len(self.spec.dvfs))]
+        )
+        self._fmax = self.spec.dvfs.max_ghz
+        self._refresh_service_rows()
+        #: Mapper placements memoised by allocation content; identical
+        #: rows (common once exploitation dominates) share one placement.
+        self._mapper_cache: Dict[Tuple, Dict[str, CoreAssignment]] = {}
+
+    def _refresh_service_rows(self) -> None:
+        """Precompute the per-service Equation-1/-2 rows (broadcast over envs)."""
         profs = [self.profiles[name] for name in self.service_order]
         self._sf_row = np.array([p.serial_fraction for p in profs])
         self._cpu_ms_row = np.array([p.cpu_ms_per_req for p in profs])
@@ -430,58 +424,11 @@ class FleetTwig:
         self._one_minus_alpha_row = 1.0 - self._alpha_row
         self._aiu_row = np.array([p.active_idle_util for p in profs])
         self._qos_row = np.array([self.qos_targets[n] for n in self.service_order])
-        self._dvfs_values = np.array(
-            [self.spec.dvfs[i] for i in range(len(self.spec.dvfs))]
-        )
-        self._fmax = self.spec.dvfs.max_ghz
         self._model_cols = [
             (i, name)
             for i, name in enumerate(self.service_order)
             if self.power_models.get(name) is not None
         ]
-        #: Mapper placements memoised by allocation content; identical
-        #: rows (common once exploitation dominates) share one placement.
-        self._mapper_cache: Dict[Tuple, Dict[str, CoreAssignment]] = {}
-
-    # ------------------------------------------------------------------ #
-    # dict-shaped compatibility views over the state arrays
-    # ------------------------------------------------------------------ #
-    @property
-    def _last_allocations(self) -> _RowDicts:
-        def build(e: int) -> Dict[str, Allocation]:
-            if not self._has_alloc[e]:
-                return {}
-            return {
-                name: Allocation(
-                    num_cores=int(self._alloc_cores[e, i]),
-                    freq_index=int(self._alloc_freq[e, i]),
-                    llc_ways=int(self._alloc_ways[e, i]),
-                )
-                for i, name in enumerate(self.service_order)
-            }
-        return _RowDicts(build, self.num_envs)
-
-    @property
-    def _last_estimated_power(self) -> _RowDicts:
-        def build(e: int) -> Dict[str, float]:
-            if not self._has_est[e]:
-                return {}
-            return {
-                name: float(self._est_power[e, i])
-                for i, name in enumerate(self.service_order)
-            }
-        return _RowDicts(build, self.num_envs)
-
-    @property
-    def last_rewards(self) -> _RowDicts:
-        def build(e: int) -> Dict[str, float]:
-            if not self._has_reward[e]:
-                return {}
-            return {
-                name: float(self._reward_totals[e, i])
-                for i, name in enumerate(self.service_order)
-            }
-        return _RowDicts(build, self.num_envs)
 
     # ------------------------------------------------------------------ #
     # lock-step manager interface
@@ -499,7 +446,6 @@ class FleetTwig:
         self._alloc_cores[:] = self.action_space.max_cores
         self._alloc_freq[:] = top
         self._alloc_ways[:] = 0
-        self._has_alloc[:] = True
         return [self._map_row(e) for e in range(self.num_envs)]
 
     def update_batch(self, results: Sequence[StepResult]) -> List[Dict[str, CoreAssignment]]:
@@ -551,7 +497,6 @@ class FleetTwig:
             for e, i in zip(*(idx.tolist() for idx in np.nonzero(punish))):
                 totals[e, i] = max(-(float(qos_rew[e, i]) ** phi), cap)
         self._est_power[healthy_idx] = est[healthy_idx]
-        self._has_est[healthy_idx] = True
         totals = self._shape_reward_rows(
             healthy_idx, totals, qos_rew, power_rew, violation, results
         )
@@ -560,6 +505,8 @@ class FleetTwig:
 
         assignments: List[Optional[Dict[str, CoreAssignment]]] = [None] * E
         if env_degraded.any():
+            # Hold the last allocation (telemetry cannot be acted upon)
+            # and break the transition chain until it recovers.
             for e in np.nonzero(env_degraded)[0].tolist():
                 if self.trace.enabled:
                     self.trace.emit(
@@ -572,11 +519,10 @@ class FleetTwig:
                                 if degraded_rows[e, i]
                             ),
                             held_allocation=True,
-                            **{self.index_tag: e},
+                            **self._tag(e),
                         )
                     )
                 self._has_prev[e] = False
-                self._has_alloc[e] = True
                 assignments[e] = self._map_row(e)
 
         learning = np.nonzero(~env_degraded & self._has_prev)[0]
@@ -604,7 +550,6 @@ class FleetTwig:
             self._alloc_cores[healthy_idx] = cores
             self._alloc_freq[healthy_idx] = freqs
             self._alloc_ways[healthy_idx] = ways
-            self._has_alloc[healthy_idx] = True
             cores_l = cores.tolist()
             freqs_l = freqs.tolist()
             ways_l = ways.tolist()
@@ -633,6 +578,47 @@ class FleetTwig:
     def exploit(self) -> None:
         """Switch to pure exploitation (recommended once trained)."""
         self.agent.exploring_frozen = True
+
+    def transfer_to(
+        self,
+        old_name: str,
+        new_profile: ServiceProfile,
+        qos_target_ms: Optional[float] = None,
+        power_model: Optional[ServicePowerModel] = None,
+    ) -> None:
+        """Swap a managed service in every environment and transfer-learn
+        (Figures 8/9).
+
+        The shared representation is kept; every head's output layer is
+        re-randomised. The slot's monitor history is cleared, its
+        allocation falls back to the default (all cores at top DVFS) and
+        every environment's transition chain is broken.
+        """
+        if old_name not in self.profiles:
+            raise ConfigurationError(f"unknown service {old_name!r}")
+        i = self.service_order.index(old_name)
+        del self.profiles[old_name]
+        del self.qos_targets[old_name]
+        self.power_models.pop(old_name, None)
+        name = new_profile.name
+        self.service_order[i] = name
+        self.profiles[name] = new_profile
+        self.qos_targets[name] = (
+            qos_target_ms if qos_target_ms is not None else new_profile.qos_target_ms
+        )
+        if power_model is not None:
+            self.power_models[name] = power_model
+        self._refresh_service_rows()
+        k = len(self.service_order)
+        self.monitor_bank.reset_rows(np.arange(self.num_envs) * k + i)
+        self._has_prev[:] = False
+        self._alloc_cores[:, i] = self.action_space.max_cores
+        self._alloc_freq[:, i] = len(self.spec.dvfs) - 1
+        self._alloc_ways[:, i] = 0
+        self._est_power[:, i] = 0.0
+        # Cached placements are keyed by service name.
+        self._mapper_cache.clear()
+        self.agent.transfer(self._rng)
 
     # ------------------------------------------------------------------ #
     # array internals
@@ -703,6 +689,10 @@ class FleetTwig:
             total = total + power[:, i]
         return total
 
+    def _tag(self, e: int) -> Dict[str, int]:
+        """Event envelope field naming environment ``e`` (none when untagged)."""
+        return {self.index_tag: e} if self.index_tag else {}
+
     def _map_row(self, e: int) -> Dict[str, CoreAssignment]:
         return self._map_key(
             tuple(self._alloc_cores[e].tolist()),
@@ -739,7 +729,7 @@ class FleetTwig:
         ways: List[int],
     ) -> None:
         epsilon = self.agent.epsilon()
-        tag = {self.index_tag: e}
+        tag = self._tag(e)
         for i, name in enumerate(self.service_order):
             self.trace.emit(
                 make_event(
@@ -770,37 +760,8 @@ class FleetTwig:
             )
 
     # ------------------------------------------------------------------ #
-    # scalar building blocks (kept for subclasses, tools, and tests)
+    # scalar Equation-2 (the hierarchical dict hooks call it)
     # ------------------------------------------------------------------ #
-    def _compute_rewards(
-        self, env_index: int, result: StepResult
-    ) -> Dict[str, RewardBreakdown]:
-        rewards: Dict[str, RewardBreakdown] = {}
-        for i, name in enumerate(self.service_order):
-            observation = result.observations[name]
-            estimated = self._estimate_power(
-                env_index, name, observation.interval.arrival_rate
-            )
-            self._est_power[env_index, i] = estimated
-            rewards[name] = reward_components(
-                measured_qos_ms=observation.p99_ms,
-                qos_target_ms=self.qos_targets[name],
-                max_power_w=self.max_power_w,
-                estimated_power_w=estimated,
-                params=self.config.reward,
-            )
-        self._has_est[env_index] = True
-        return rewards
-
-    def _estimate_power(self, env_index: int, name: str, arrival_rate: float) -> float:
-        i = self.service_order.index(name)
-        allocation = Allocation(
-            num_cores=int(self._alloc_cores[env_index, i]),
-            freq_index=int(self._alloc_freq[env_index, i]),
-            llc_ways=int(self._alloc_ways[env_index, i]),
-        )
-        return self._allocation_power(name, allocation, arrival_rate)
-
     def _allocation_power(
         self, name: str, allocation: Allocation, arrival_rate: float
     ) -> float:
@@ -936,13 +897,24 @@ class FleetTwig:
     #: Checkpoint kind tag for full fleet-manager state (see repro.ckpt).
     CKPT_KIND: ClassVar[str] = "twig_fleet"
 
+    #: The control-state arrays, by checkpoint field name.
+    _STATE_ARRAYS: ClassVar[Tuple[Tuple[str, str], ...]] = (
+        ("prev_states", "_prev_state_mat"),
+        ("has_prev", "_has_prev"),
+        ("prev_actions", "_prev_action_mat"),
+        ("alloc_cores", "_alloc_cores"),
+        ("alloc_freq", "_alloc_freq"),
+        ("alloc_ways", "_alloc_ways"),
+        ("est_power", "_est_power"),
+        ("reward_totals", "_reward_totals"),
+        ("has_reward", "_has_reward"),
+    )
+
     def state_dict(self) -> Dict[str, Any]:
         """Complete fleet-manager state for crash-safe resume.
 
         Control state is serialised as arrays under the ``monitor_bank``
-        and ``fleet`` subtrees (one O(1) array dump instead of N per-env
-        dict trees). :meth:`load_state_dict` accepts both this format
-        and the legacy per-env ``monitors``/``envs`` layout.
+        and ``fleet`` subtrees (one O(1) array dump, whatever N is).
         """
         return {
             "services": list(self.service_order),
@@ -950,32 +922,27 @@ class FleetTwig:
             "agent": self.agent.state_dict(),
             "monitor_bank": self.monitor_bank.state_dict(),
             "fleet": {
-                "prev_states": self._prev_state_mat.copy(),
-                "has_prev": self._has_prev.copy(),
-                "prev_actions": self._prev_action_mat.copy(),
-                "alloc_cores": self._alloc_cores.copy(),
-                "alloc_freq": self._alloc_freq.copy(),
-                "alloc_ways": self._alloc_ways.copy(),
-                "has_alloc": self._has_alloc.copy(),
-                "est_power": self._est_power.copy(),
-                "has_est": self._has_est.copy(),
-                "reward_totals": self._reward_totals.copy(),
-                "has_reward": self._has_reward.copy(),
+                field: getattr(self, attr).copy() for field, attr in self._STATE_ARRAYS
             },
         }
 
     def load_state_dict(self, tree: Dict[str, Any]) -> None:
         """Restore state from :meth:`state_dict` (stage-then-commit).
 
-        Accepts both the array format written by this class and the
-        legacy per-env-dict format (``monitors``/``envs`` subtrees)
-        written before the array control plane / by
-        :class:`repro.engine.fleet_reference.DictFleetTwig`.
+        Everything is parsed and checked before the first mutation; a
+        malformed tree raises :class:`CheckpointError` and leaves the
+        manager untouched.
         """
         try:
             services = [str(name) for name in list(tree["services"])]
             num_envs = int(tree["num_envs"])
             agent_tree = dict(tree["agent"])
+            bank_tree = dict(tree["monitor_bank"])
+            fleet = dict(tree["fleet"])
+            staged = {
+                attr: np.asarray(fleet[field], dtype=getattr(self, attr).dtype)
+                for field, attr in self._STATE_ARRAYS
+            }
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed fleet checkpoint: {exc}") from exc
         if services != self.service_order:
@@ -987,185 +954,29 @@ class FleetTwig:
             raise CheckpointError(
                 f"checkpoint has {num_envs} environments, this fleet has {self.num_envs}"
             )
-        if "fleet" in tree and "monitor_bank" in tree:
-            self._load_array_tree(tree, agent_tree)
-        elif "monitors" in tree and "envs" in tree:
-            self._load_legacy_tree(tree, agent_tree)
-        else:
-            raise CheckpointError(
-                "fleet checkpoint has neither array state (monitor_bank/fleet) "
-                "nor legacy per-env state (monitors/envs)"
-            )
-
-    def _load_array_tree(self, tree: Dict[str, Any], agent_tree: Dict[str, Any]) -> None:
-        E = self.num_envs
-        k = len(self.service_order)
-        n_branches = self.action_space.n_branches
-        try:
-            bank_tree = dict(tree["monitor_bank"])
-            fleet = dict(tree["fleet"])
-            prev_states = np.asarray(fleet["prev_states"], dtype=np.float64)
-            has_prev = np.asarray(fleet["has_prev"], dtype=bool).reshape(-1)
-            prev_actions = np.asarray(fleet["prev_actions"], dtype=np.int64)
-            alloc_cores = np.asarray(fleet["alloc_cores"], dtype=np.int64)
-            alloc_freq = np.asarray(fleet["alloc_freq"], dtype=np.int64)
-            alloc_ways = np.asarray(fleet["alloc_ways"], dtype=np.int64)
-            has_alloc = np.asarray(fleet["has_alloc"], dtype=bool).reshape(-1)
-            est_power = np.asarray(fleet["est_power"], dtype=np.float64)
-            has_est = np.asarray(fleet["has_est"], dtype=bool).reshape(-1)
-            reward_totals = np.asarray(fleet["reward_totals"], dtype=np.float64)
-            has_reward = np.asarray(fleet["has_reward"], dtype=bool).reshape(-1)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"malformed fleet array state: {exc}") from exc
-        shapes = {
-            "prev_states": (prev_states, (E, self.agent.config.state_dim)),
-            "prev_actions": (prev_actions, (E, k, n_branches)),
-            "alloc_cores": (alloc_cores, (E, k)),
-            "alloc_freq": (alloc_freq, (E, k)),
-            "alloc_ways": (alloc_ways, (E, k)),
-            "est_power": (est_power, (E, k)),
-            "reward_totals": (reward_totals, (E, k)),
-        }
-        for field, (value, expected) in shapes.items():
-            if value.shape != expected:
+        for field, attr in self._STATE_ARRAYS:
+            expected = getattr(self, attr).shape
+            if staged[attr].shape != expected:
                 raise CheckpointError(
-                    f"fleet {field} has shape {value.shape}, expected {expected}"
+                    f"fleet {field} has shape {staged[attr].shape}, expected {expected}"
                 )
-        for flag in (has_prev, has_alloc, has_est, has_reward):
-            if flag.shape[0] != E:
-                raise CheckpointError("fleet flag arrays do not match num_envs")
-        if alloc_cores.min() < 1 or alloc_cores.max() > self.spec.cores_per_socket:
+        cores, freq = staged["_alloc_cores"], staged["_alloc_freq"]
+        if cores.min() < 1 or cores.max() > self.spec.cores_per_socket:
             raise CheckpointError("fleet alloc_cores out of range")
-        if alloc_freq.min() < 0 or alloc_freq.max() >= len(self.spec.dvfs):
+        if freq.min() < 0 or freq.max() >= len(self.spec.dvfs):
             raise CheckpointError("fleet alloc_freq out of range")
-        if alloc_ways.min() < 0:
+        if staged["_alloc_ways"].min() < 0:
             raise CheckpointError("fleet alloc_ways out of range")
-        # The agent load goes first: it is the part that can still reject
-        # the checkpoint (stage-then-commit itself); the bank validates
-        # before mutating too.
+        # The agent and the bank each load stage-then-commit; validating
+        # the bank tree on a scratch bank first means a bad bank cannot be
+        # found after the agent has committed.
+        MonitorBank(
+            self._counter_max_values, self.monitor_bank.num_rows, eta=self.config.eta
+        ).load_state_dict(bank_tree)
         self.agent.load_state_dict(agent_tree)
         self.monitor_bank.load_state_dict(bank_tree)
-        self._prev_state_mat = prev_states.copy()
-        self._has_prev = has_prev.copy()
-        self._prev_action_mat = prev_actions.copy()
-        self._alloc_cores = alloc_cores.copy()
-        self._alloc_freq = alloc_freq.copy()
-        self._alloc_ways = alloc_ways.copy()
-        self._has_alloc = has_alloc.copy()
-        self._est_power = est_power.copy()
-        self._has_est = has_est.copy()
-        self._reward_totals = reward_totals.copy()
-        self._has_reward = has_reward.copy()
-        self._mapper_cache.clear()
-
-    def _load_legacy_tree(self, tree: Dict[str, Any], agent_tree: Dict[str, Any]) -> None:
-        """Convert a legacy per-env-dict checkpoint into the array state."""
-        E = self.num_envs
-        k = len(self.service_order)
-        n_branches = self.action_space.n_branches
-        try:
-            monitors_tree = dict(tree["monitors"])
-            envs_tree = dict(tree["envs"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"malformed fleet checkpoint: {exc}") from exc
-        expected = {f"{e:04d}" for e in range(E)}
-        if set(monitors_tree) != expected or set(envs_tree) != expected:
-            raise CheckpointError("fleet checkpoint env keys do not match num_envs")
-        top = len(self.spec.dvfs) - 1
-        staged: List[Dict[str, Any]] = []
-        for e in range(E):
-            env_tree = dict(envs_tree[f"{e:04d}"])
-            try:
-                prev_actions = env_tree["prev_actions"]
-                if prev_actions is not None:
-                    prev_actions = np.asarray(
-                        [[int(a) for a in branch] for branch in prev_actions],
-                        dtype=np.int64,
-                    )
-                    if prev_actions.shape != (k, n_branches):
-                        raise CheckpointError(
-                            f"fleet env {e} prev_actions has shape "
-                            f"{prev_actions.shape}, expected {(k, n_branches)}"
-                        )
-                allocations = {
-                    str(name): Allocation(
-                        num_cores=int(fields["num_cores"]),
-                        freq_index=int(fields["freq_index"]),
-                        llc_ways=int(fields.get("llc_ways", 0)),
-                    )
-                    for name, fields in dict(env_tree["last_allocations"]).items()
-                }
-                estimated_power = {
-                    str(name): float(v)
-                    for name, v in dict(env_tree["last_estimated_power"]).items()
-                }
-                last_rewards = {
-                    str(name): float(v)
-                    for name, v in dict(env_tree["last_rewards"]).items()
-                }
-            except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
-                raise CheckpointError(f"malformed fleet env {e} state: {exc}") from exc
-            prev_state = env_tree.get("prev_state")
-            if prev_state is not None:
-                prev_state = np.asarray(prev_state, dtype=np.float64).reshape(-1)
-                if prev_state.shape[0] != self.agent.config.state_dim:
-                    raise CheckpointError(
-                        f"fleet env {e} prev_state dim {prev_state.shape[0]} != "
-                        f"state dim {self.agent.config.state_dim}"
-                    )
-            staged.append(
-                {
-                    "prev_state": prev_state,
-                    "prev_actions": prev_actions,
-                    "allocations": allocations,
-                    "estimated_power": estimated_power,
-                    "last_rewards": last_rewards,
-                }
-            )
-        # Stage the monitor rows into a scratch bank: per-env conversion
-        # mutates incrementally, so a torn tree must not touch the live one.
-        scratch = MonitorBank(self._counter_max_values, E * k, eta=self.config.eta)
-        for e in range(E):
-            scratch.load_monitor_rows(
-                e * k, dict(monitors_tree[f"{e:04d}"]), self.service_order
-            )
-        self.agent.load_state_dict(agent_tree)
-        self.monitor_bank = scratch
-        for e, env_state in enumerate(staged):
-            prev_state = env_state["prev_state"]
-            prev_actions = env_state["prev_actions"]
-            if prev_state is None or prev_actions is None:
-                self._has_prev[e] = False
-                self._prev_state_mat[e] = 0.0
-                self._prev_action_mat[e] = 0
-            else:
-                self._prev_state_mat[e] = prev_state
-                self._prev_action_mat[e] = prev_actions
-                self._has_prev[e] = True
-            # Missing services fall back to the `.get` default allocation
-            # (all cores, top DVFS) / 0.0, exactly what the dict-state
-            # manager's accessors defaulted to for absent keys.
-            self._alloc_cores[e] = self.action_space.max_cores
-            self._alloc_freq[e] = top
-            self._alloc_ways[e] = 0
-            self._est_power[e] = 0.0
-            self._reward_totals[e] = 0.0
-            allocations = env_state["allocations"]
-            estimated_power = env_state["estimated_power"]
-            last_rewards = env_state["last_rewards"]
-            for i, name in enumerate(self.service_order):
-                allocation = allocations.get(name)
-                if allocation is not None:
-                    self._alloc_cores[e, i] = allocation.num_cores
-                    self._alloc_freq[e, i] = allocation.freq_index
-                    self._alloc_ways[e, i] = allocation.llc_ways
-                if name in estimated_power:
-                    self._est_power[e, i] = estimated_power[name]
-                if name in last_rewards:
-                    self._reward_totals[e, i] = last_rewards[name]
-            self._has_alloc[e] = bool(allocations)
-            self._has_est[e] = bool(estimated_power)
-            self._has_reward[e] = bool(last_rewards)
+        for attr, value in staged.items():
+            setattr(self, attr, value.copy())
         self._mapper_cache.clear()
 
     def save(self, path) -> None:

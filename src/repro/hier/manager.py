@@ -283,7 +283,7 @@ class HierFleetTwig(FleetTwig):
         self, env_index: int, breakdowns: Dict[str, RewardBreakdown]
     ) -> Dict[str, RewardBreakdown]:
         budget = float(self.budgets[env_index])
-        node_power = sum(self._last_estimated_power[env_index].values())
+        node_power = sum(self._est_power[env_index].tolist())
         overshoot = max(0.0, node_power / max(budget, 1e-9) - 1.0)
         if overshoot <= 0.0:
             return breakdowns

@@ -105,7 +105,7 @@ EVENT_REGISTRY: Dict[str, EventSpec] = {
             ("consecutive", "int", "Length of the current violation streak"),
         ),
         _spec(
-            "action", "repro.core.twig",
+            "action", "repro.engine.fleet",
             "The allocation Twig chose for one service for the next interval.",
             ("service", "str", "Service the allocation applies to"),
             ("cores", "int", "Requested core count"),
@@ -115,7 +115,7 @@ EVENT_REGISTRY: Dict[str, EventSpec] = {
             ("epsilon", "float", "Exploration rate in force when acting"),
         ),
         _spec(
-            "reward", "repro.core.twig",
+            "reward", "repro.engine.fleet",
             "Equation-1 reward decomposition for one service.",
             ("service", "str", "Service the reward belongs to"),
             ("reward", "float", "Total Equation-1 reward"),
@@ -147,7 +147,7 @@ EVENT_REGISTRY: Dict[str, EventSpec] = {
             ("duration", "int", "Number of intervals the fault stays active"),
         ),
         _spec(
-            "degraded", "repro.core.twig",
+            "degraded", "repro.engine.fleet",
             "Twig held its last allocation because telemetry for at least one "
             "service was unusable (non-finite PMCs or latency).",
             ("services", "list", "Services with unusable telemetry"),

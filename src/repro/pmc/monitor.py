@@ -219,6 +219,10 @@ class MonitorBank:
                 self._counts[rows] = np.minimum(self._counts[rows] + 1, self.eta)
         return self.states()
 
+    #: The bank stands in for a single node's system monitor, whose
+    #: per-interval entry point is ``observe``.
+    observe = observe_rows
+
     def states(self) -> np.ndarray:
         """All rows' current smoothed states without adding samples.
 
@@ -242,6 +246,12 @@ class MonitorBank:
                 block = history[rows, eta - n:]
             smoothed[rows] = np.matmul(self._weights_by_n[n], block)
         return np.clip(smoothed / self._maxima, 0.0, 1.0)
+
+    def reset_rows(self, rows: np.ndarray) -> None:
+        """Drop the smoothing history of ``rows`` (cf. :meth:`SystemMonitor.reset`)."""
+        self._history[rows] = 0.0
+        self._counts[rows] = 0
+        self.degraded[rows] = False
 
     def state_dict(self) -> Dict[str, Any]:
         """Array-shaped smoothing state (histories tail-packed per row)."""
@@ -275,35 +285,3 @@ class MonitorBank:
         self._history = history.copy()
         self._counts = counts.copy()
         self.degraded = degraded.copy()
-
-    def load_monitor_rows(self, row: int, monitor_tree: Dict[str, Any],
-                          services: Sequence[str]) -> None:
-        """Load one legacy per-env :class:`SystemMonitor` tree into rows
-        ``row .. row + len(services) - 1`` (service order = row order)."""
-        try:
-            history = {
-                str(service): np.asarray(rows, dtype=np.float64)
-                for service, rows in dict(monitor_tree["history"]).items()
-            }
-            degraded = {str(service) for service in list(monitor_tree["degraded"])}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"malformed monitor state: {exc}") from exc
-        for service, rows in history.items():
-            if (
-                rows.ndim != 2
-                or rows.shape[1] != self.state_dim
-                or rows.shape[0] > self.eta
-            ):
-                raise CheckpointError(
-                    f"monitor history for {service!r} has shape {rows.shape}, "
-                    f"expected (<= {self.eta}, {self.state_dim})"
-                )
-        for i, service in enumerate(services):
-            r = row + i
-            self._history[r] = 0.0
-            rows = history.get(service)
-            n = 0 if rows is None else rows.shape[0]
-            if n:
-                self._history[r, self.eta - n:] = rows
-            self._counts[r] = n
-            self.degraded[r] = service in degraded

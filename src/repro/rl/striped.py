@@ -203,6 +203,25 @@ class StripedPrioritizedReplayBuffer:
         batch["weights"] = weights
         return batch
 
+    def sample_uniform(self, batch_size: int) -> Dict[str, np.ndarray]:
+        """Sample uniformly with replacement over every stored transition.
+
+        Draws the same ranks as :meth:`~repro.rl.replay.ReplayBuffer.sample`
+        (one ``integers(0, len(self))`` call) and maps rank ``r`` to the
+        ``r``-th occupied slot in stripe order, so with one stripe the
+        batch equals the uniform buffer's.
+        """
+        if len(self) == 0:
+            raise ConfigurationError("cannot sample from an empty replay buffer")
+        ranks = self._rng.integers(0, len(self), size=batch_size)
+        ends = np.cumsum(self._sizes)
+        stripes = np.searchsorted(ends, ranks, side="right")
+        indices = stripes * self.stripe_capacity + ranks - (ends - self._sizes)[stripes]
+        assert self._storage is not None
+        batch = {key: store[indices] for key, store in self._storage.items()}
+        batch["indices"] = indices
+        return batch
+
     def update_priorities(self, indices: np.ndarray, td_errors: np.ndarray) -> None:
         """Set new priorities from absolute TD errors (one batched update)."""
         indices = np.asarray(indices, dtype=np.int64).reshape(-1)

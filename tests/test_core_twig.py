@@ -11,6 +11,7 @@ from repro.server.spec import ServerSpec
 from repro.services.loadgen import ConstantLoad
 from repro.services.profiles import get_profile
 from repro.sim.environment import ColocationEnvironment, EnvironmentConfig
+from repro.sim.faults import Fault, FaultInjector
 
 
 def _make(names=("masstree",), config=None, seed=5):
@@ -56,11 +57,12 @@ def test_transitions_are_fed_to_agent():
     twig, env = _make()
     assignments = twig.initial_assignments()
     result = env.step(assignments)
-    twig.update(result)
-    assert len(twig.agent.buffer) == 0  # first update has no previous state
-    result = env.step(twig.mapper.map(twig._last_allocations))
-    twig.update(result)
-    assert len(twig.agent.buffer) == 1
+    assignments = twig.update(result)
+    assert len(twig.agent.striped) == 0  # first update has no previous state
+    assert twig.agent.step_count == 0  # ...and so is not an agent tick
+    twig.update(env.step(assignments))
+    assert len(twig.agent.striped) == 1
+    assert twig.agent.step_count == 1
 
 
 def test_state_dim_scales_with_services():
@@ -150,3 +152,38 @@ def test_twig_save_load_roundtrip(tmp_path):
         twig_b.agent.online.greedy_actions(state)
         == twig_a.agent.online.greedy_actions(state)
     )
+
+
+def test_degraded_interval_right_after_transfer_keeps_every_service():
+    # A held (degraded) interval straight after transfer_to must still
+    # place the service that was just swapped in; the next step would
+    # otherwise reject an assignment that misses a running service.
+    spec = ServerSpec()
+    names = ("masstree", "moses")
+    profiles = [get_profile(n) for n in names]
+    twig = Twig(profiles, TwigConfig.fast(), np.random.default_rng(5), spec=spec)
+    env = ColocationEnvironment(
+        EnvironmentConfig(spec=spec),
+        profiles,
+        {
+            n: ConstantLoad(get_profile(n).max_load_rps, 0.4, rng=np.random.default_rng(i))
+            for i, n in enumerate(names)
+        },
+        np.random.default_rng(6),
+        faults=FaultInjector([Fault("service_crash", "masstree", start=4)]),
+    )
+    assignments = twig.initial_assignments()
+    for _ in range(3):
+        assignments = twig.update(env.step(assignments))
+    xapian = get_profile("xapian")
+    env.swap_service(
+        "moses", xapian, ConstantLoad(xapian.max_load_rps, 0.4, rng=np.random.default_rng(9))
+    )
+    twig.transfer_to("moses", xapian)
+    # The swapped-in service inherits the old slot's cores for one step.
+    carried = {("xapian" if n == "moses" else n): a for n, a in assignments.items()}
+    result = env.step(carried)
+    assert np.isnan(result.observations["masstree"].p99_ms)  # degraded interval
+    assignments = twig.update(result)
+    assert set(assignments) == {"masstree", "xapian"}
+    env.step(assignments)

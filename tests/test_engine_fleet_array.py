@@ -5,8 +5,7 @@ The array control plane (:class:`repro.engine.fleet.FleetTwig` holding
 :class:`~repro.pmc.monitor.MonitorBank`) must be *bit-identical* to the
 original per-env-dict implementation, preserved verbatim as
 :class:`repro.engine.fleet_reference.DictFleetTwig`: same trajectories,
-same RNG streams, same agent state, and a loadable legacy checkpoint
-format. These tests are the pin.
+same RNG streams, same agent state. These tests are the pin.
 """
 
 import numpy as np
@@ -90,13 +89,20 @@ def _assert_managers_equivalent(array_mgr, dict_mgr):
     )
     # Same learned state (network weights, replay, schedule counters).
     _assert_tree_equal(array_mgr.agent.state_dict(), dict_mgr.agent.state_dict())
-    # The array side's lazily-built dict views match the reference dicts.
+    # The array rows hold exactly the reference's per-env dict entries.
     for e in range(array_mgr.num_envs):
-        assert array_mgr._last_allocations[e] == dict_mgr._last_allocations[e]
-        assert (
-            array_mgr._last_estimated_power[e] == dict_mgr._last_estimated_power[e]
-        )
-        assert array_mgr.last_rewards[e] == dict_mgr.last_rewards[e]
+        for i, name in enumerate(SERVICES):
+            allocation = dict_mgr._last_allocations[e][name]
+            assert (
+                array_mgr._alloc_cores[e, i],
+                array_mgr._alloc_freq[e, i],
+                array_mgr._alloc_ways[e, i],
+            ) == (allocation.num_cores, allocation.freq_index, allocation.llc_ways)
+            assert array_mgr._est_power[e, i] == dict_mgr._last_estimated_power[e][name]
+        rewards = dict_mgr.last_rewards[e]
+        assert array_mgr._has_reward[e] == bool(rewards)
+        if rewards:
+            assert array_mgr._reward_totals[e].tolist() == [rewards[n] for n in SERVICES]
     # MonitorBank rows == per-env SystemMonitor smoothed states.
     states = array_mgr.monitor_bank.states()
     k = len(SERVICES)
@@ -118,6 +124,50 @@ class TestArrayDictEquivalence:
         _assert_managers_equivalent(array_mgr, dict_mgr)
         # The environments saw identical action streams.
         _assert_tree_equal(array_venv.state_dict(), dict_venv.state_dict())
+
+
+class TestZeroRowTick:
+    """A tick that stores no transition does not advance the agent."""
+
+    @staticmethod
+    def _snapshot(agent):
+        return (
+            agent.step_count,
+            agent.epsilon(),
+            agent.beta_schedule(agent.step_count),
+            [p.value.copy() for p in agent.target.parameters()],
+        )
+
+    @staticmethod
+    def _assert_unchanged(agent, before):
+        step_count, epsilon, beta, target = before
+        assert agent.step_count == step_count
+        assert agent.epsilon() == epsilon
+        assert agent.beta_schedule(agent.step_count) == beta
+        for value, param in zip(target, agent.target.parameters()):
+            assert np.array_equal(value, param.value)
+
+    @pytest.mark.parametrize("num_envs", [1, 4])
+    def test_no_transitions_no_tick(self, num_envs):
+        manager, venv = _build(FleetTwig, num_envs)
+        agent = manager.agent
+        # Sync the target on every tick and make the online net differ,
+        # so a spurious tick would show up as a changed target network.
+        agent.config.target_update_every = 1
+        agent.online.parameters()[0].value += 1.0
+        before = self._snapshot(agent)
+        dim = agent.config.state_dim
+        branches = agent.online.total_branches
+        agent.observe_rows(
+            np.zeros(0, dtype=np.int64), np.zeros((0, dim)), np.zeros((0, branches)),
+            np.zeros((0, agent.num_agents)), np.zeros((0, dim)),
+        )
+        self._assert_unchanged(agent, before)
+        # The first control tick has no previous state anywhere.
+        assignments = manager.update_batch(venv.step(manager.initial_assignments()))
+        self._assert_unchanged(agent, before)
+        manager.update_batch(venv.step(assignments))
+        assert agent.step_count == 1
 
 
 class TestHookFallback:
@@ -258,20 +308,6 @@ class TestMonitorBank:
         with pytest.raises(CheckpointError):
             bank.load_state_dict({"history": good["history"]})
 
-    def test_load_monitor_rows_matches_scalar(self):
-        # A legacy SystemMonitor tree loaded into bank rows reproduces the
-        # scalar monitor's smoothed state exactly.
-        max_values = self._max_values()
-        monitor = SystemMonitor(max_values, eta=5)
-        rng = np.random.default_rng(23)
-        for _ in range(3):
-            monitor.observe(
-                "svc", dict(zip(monitor.counters, rng.random(len(monitor.counters))))
-            )
-        bank = MonitorBank(max_values, 2, eta=5)
-        bank.load_monitor_rows(1, monitor.state_dict(), ["svc"])
-        assert np.array_equal(bank.states()[1], monitor.state("svc"))
-
     def test_constructor_validation(self):
         max_values = self._max_values()
         with pytest.raises(ConfigurationError):
@@ -283,43 +319,39 @@ class TestMonitorBank:
 
 
 class TestLegacyCheckpoint:
-    def test_array_manager_loads_dict_checkpoint(self):
-        # A checkpoint written by the dict reference restores the array
-        # manager onto the identical trajectory.
-        steps_before, steps_after, num_envs = 8, 6, 3
-        dict_mgr, dict_venv = _build(DictFleetTwig, num_envs)
-        run_fleet(dict_mgr, dict_venv, steps_before)
-        legacy_tree = dict_mgr.state_dict()
-        env_tree = dict_venv.state_dict()
-
-        array_mgr, array_venv = _build(FleetTwig, num_envs)
-        array_mgr.load_state_dict(legacy_tree)
-        array_venv.load_state_dict(env_tree)
-        array_traces = run_fleet(array_mgr, array_venv, steps_after)
-        dict_traces = run_fleet(dict_mgr, dict_venv, steps_after)
-        _assert_traces_equal(array_traces, dict_traces)
-        _assert_managers_equivalent(array_mgr, dict_mgr)
-
-    def test_torn_legacy_tree_never_half_loads(self):
+    def test_legacy_tree_is_refused(self):
+        # The per-env-dict layout (monitors/envs subtrees, as the dict
+        # reference writes it) is not a fleet checkpoint: it is refused
+        # whole and the manager is left untouched.
         dict_mgr, dict_venv = _build(DictFleetTwig, 2)
         run_fleet(dict_mgr, dict_venv, 6)
         legacy_tree = dict_mgr.state_dict()
+        assert "monitors" in legacy_tree and "envs" in legacy_tree
 
-        array_mgr, _ = _build(FleetTwig, 2)
+        array_mgr, array_venv = _build(FleetTwig, 2)
+        run_fleet(array_mgr, array_venv, 3)
         before = array_mgr.state_dict()
-        torn = dict(legacy_tree)
-        torn["envs"] = dict(legacy_tree["envs"])
-        torn["envs"]["0001"] = {"prev_actions": None}  # missing fields
         with pytest.raises(CheckpointError):
-            array_mgr.load_state_dict(torn)
+            array_mgr.load_state_dict(legacy_tree)
         _assert_tree_equal(array_mgr.state_dict(), before)
 
+    def test_bad_monitor_bank_never_half_loads(self):
+        manager, venv = _build(FleetTwig, 2)
+        run_fleet(manager, venv, 4)
+        tree = manager.state_dict()
+        before = manager.state_dict()
+        tree["agent"]["counters"]["step_count"] = 999
+        tree["monitor_bank"]["counts"] = tree["monitor_bank"]["counts"] + 99
+        with pytest.raises(CheckpointError):
+            manager.load_state_dict(tree)
+        _assert_tree_equal(manager.state_dict(), before)
+
     def test_rejects_mismatched_env_count(self):
-        dict_mgr, dict_venv = _build(DictFleetTwig, 2)
-        run_fleet(dict_mgr, dict_venv, 4)
+        first_mgr, first_venv = _build(FleetTwig, 2)
+        run_fleet(first_mgr, first_venv, 4)
         array_mgr, _ = _build(FleetTwig, 3)
         with pytest.raises(CheckpointError):
-            array_mgr.load_state_dict(dict_mgr.state_dict())
+            array_mgr.load_state_dict(first_mgr.state_dict())
 
     def test_array_round_trip(self):
         # Array-format save/load onto a fresh manager: identical futures.
@@ -335,3 +367,16 @@ class TestLegacyCheckpoint:
         a = run_fleet(first_mgr, first_venv, 5)
         b = run_fleet(second_mgr, second_venv, 5)
         _assert_traces_equal(a, b)
+
+
+def test_uniform_replay_fleet_trains():
+    venv = VectorEnvironment.from_services(SERVICES, FRACTIONS, 3, SEED)
+    manager = FleetTwig(
+        [get_profile(s) for s in SERVICES],
+        _twig_config().scaled(use_prioritized_replay=False),
+        np.random.default_rng(SEED + 1),
+        num_envs=3,
+    )
+    run_fleet(manager, venv, 30)
+    assert manager.agent.train_count > 0
+    assert manager.agent.state_dict()["buffer_kind"] == "uniform"

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster.environment import ClusterEnvironment
 from repro.core.config import TwigConfig
+from repro.core.reward import RewardBreakdown
 from repro.engine.fleet import FleetTwig
 from repro.engine.rollout import run_fleet
 from repro.errors import CheckpointError, ConfigurationError, ShapeError
@@ -164,12 +165,15 @@ class TestBudgetMasking:
 
     def test_overshoot_penalty_lowers_rewards(self):
         manager, venv = _build_hier(2)
-        results = venv.step(manager.initial_assignments())
-        breakdowns = manager._compute_rewards(0, results[0])
+        manager.update_batch(venv.step(manager.initial_assignments()))
+        breakdowns = {
+            name: RewardBreakdown(total=1.0, qos_rew=0.5, power_rew=1.0, violation=False)
+            for name in manager.service_order
+        }
         manager.budgets[:] = 1e6                          # no overshoot
         unshaped = manager._shape_rewards(0, breakdowns)
         assert unshaped is breakdowns
-        estimated = sum(manager._last_estimated_power[0].values())
+        estimated = sum(manager._est_power[0].tolist())
         manager.budgets[:] = estimated / 2.0              # 2x overshoot
         shaped = manager._shape_rewards(0, breakdowns)
         for name in manager.service_order:

@@ -295,9 +295,10 @@ def test_twig_full_checkpoint_roundtrip(tmp_path):
 
     other, _ = _twig_and_env(seed=77)
     other.load(tmp_path / "twig.ckpt")
-    assert other._last_allocations == twig._last_allocations
-    assert other._prev_actions == twig._prev_actions
-    assert np.array_equal(other._prev_state, twig._prev_state)
+    for attr in ("_alloc_cores", "_alloc_freq", "_alloc_ways", "_has_prev",
+                 "_prev_action_mat", "_prev_state_mat"):
+        assert np.array_equal(getattr(other, attr), getattr(twig, attr)), attr
+    assert np.array_equal(other.monitor.states(), twig.monitor.states())
     assert other.last_rewards == twig.last_rewards
     assert other.agent.step_count == twig.agent.step_count
     # Both managers now produce identical next assignments.

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ShapeError
+from repro.rl.replay import ReplayBuffer
 from repro.rl.striped import StripedPrioritizedReplayBuffer
 from repro.rl.sum_tree import SumTree
 
@@ -102,3 +103,28 @@ def test_sum_tree_update_sequential_matches_update_loop():
             assert np.array_equal(loop._tree, batched._tree)
     with pytest.raises(ConfigurationError):
         SumTree(4).update_sequential(np.array([1, 1]), np.array([1.0, 2.0]))
+
+
+def test_sample_uniform_one_stripe_matches_uniform_buffer():
+    rows = _rows(np.random.default_rng(4), 9)
+    striped = StripedPrioritizedReplayBuffer(1, 6, np.random.default_rng(8))
+    plain = ReplayBuffer(6, np.random.default_rng(8))
+    striped.add_rows(np.zeros(9, dtype=np.int64), rows)
+    for r in range(9):
+        plain.add({key: value[r] for key, value in rows.items()})
+    got, want = striped.sample_uniform(32), plain.sample(32)
+    for key in want:
+        assert np.array_equal(got[key], want[key]), key
+
+
+def test_sample_uniform_maps_ranks_to_occupied_slots():
+    buf = StripedPrioritizedReplayBuffer(3, 4, np.random.default_rng(2))
+    with pytest.raises(ConfigurationError):
+        buf.sample_uniform(4)
+    # Stripe sizes 2, 0, 3: ranks 0-1 are stripe 0, ranks 2-4 stripe 2.
+    env_rows = np.array([0, 2, 0, 2, 2])
+    buf.add_rows(env_rows, _rows(np.random.default_rng(5), 5))
+    batch = buf.sample_uniform(400)
+    assert set(batch["indices"].tolist()) == {0, 1, 8, 9, 10}
+    for key, store in buf._storage.items():
+        assert np.array_equal(batch[key], store[batch["indices"]]), key
